@@ -21,11 +21,10 @@ Usage::
 
     python benchmarks/bench_net.py            # 32 clients, full run
     python benchmarks/bench_net.py --smoke    # CI: 32 clients, short
-    python benchmarks/bench_net.py --smoke --shard-workers 2   # shard plane
+    python benchmarks/bench_net.py --smoke --shards 4   # sharded store
     python benchmarks/bench_net.py --connect 127.0.0.1:7145
 
-``--smoke`` exits nonzero unless commits > 0, leaked_sessions == 0 and
-(when the spawned server ran shard workers) leaked_workers == 0.
+``--smoke`` exits nonzero unless commits > 0 and leaked_sessions == 0.
 """
 
 from __future__ import annotations
@@ -145,12 +144,7 @@ def _spawn_server(args) -> tuple:
             "--drain-timeout",
             "5.0",
         ]
-        + (["--shards", str(args.shards)] if args.shards else [])
-        + (
-            ["--shard-workers", str(args.shard_workers)]
-            if args.shard_workers
-            else []
-        ),
+        + (["--shards", str(args.shards)] if args.shards else []),
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -266,13 +260,11 @@ def run_bench(args) -> int:
     total_ops = len(latencies)
 
     server_report = {}
-    leaked_workers = 0
     if server_proc is not None:
         server_report = _stop_server(server_proc)
         # The authoritative leak count: what the server saw after its
         # own graceful drain (the control session closed above).
         leaked_sessions = len(server_report.get("leaked_sessions", []))
-        leaked_workers = int(server_report.get("leaked_workers", 0) or 0)
 
     metrics = {
         "throughput_tps": total_ops / wall_s if wall_s else 0.0,
@@ -287,7 +279,6 @@ def run_bench(args) -> int:
         "errors": errors,
         "connect_failures": connect_failures,
         "leaked_sessions": leaked_sessions,
-        "leaked_workers": leaked_workers,
         "open_sessions_after_run": open_sessions,
         "server_requests_total": stats["requests_total"],
         "server_store_states": stats["store"]["states"],
@@ -303,7 +294,6 @@ def run_bench(args) -> int:
         "smoke": args.smoke,
         "spawned_server": server_proc is not None,
         "shards": args.shards,
-        "shard_workers": args.shard_workers,
     }
     path = write_bench_json("net", metrics, config)
     print(
@@ -328,8 +318,6 @@ def run_bench(args) -> int:
             problems.append("no committed transactions")
         if leaked_sessions != 0:
             problems.append("%d leaked sessions" % leaked_sessions)
-        if leaked_workers != 0:
-            problems.append("%d leaked shard workers" % leaked_workers)
         if connect_failures:
             problems.append("%d clients failed to connect" % connect_failures)
         if server_proc is not None and server_report.get("exit_code") != 0:
@@ -359,10 +347,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--shards", type=int, default=None,
         help="spawn the server with --shards N (sharded record store)",
-    )
-    parser.add_argument(
-        "--shard-workers", type=int, default=None,
-        help="spawn the server with --shard-workers N (proc-sharded store)",
     )
     parser.add_argument(
         "--connect", default=None, metavar="HOST:PORT",

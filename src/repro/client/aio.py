@@ -20,7 +20,13 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.client.client import _RAISE, raise_for_error
-from repro.errors import KeyNotFound, NetworkError, ServerError
+from repro.errors import (
+    KeyNotFound,
+    NetworkError,
+    ServerError,
+    TransactionAborted,
+    TransactionClosed,
+)
 from repro.server.protocol import (
     MAX_FRAME,
     PROTOCOL_VERSION,
@@ -77,7 +83,7 @@ class AsyncClientTransaction:
             fields["constraint"] = constraint
         try:
             response = await self._client._request("COMMIT", **fields)
-        except Exception:
+        except (TransactionAborted, TransactionClosed):
             self.status = "aborted"
             raise
         self.status = "committed"

@@ -36,7 +36,6 @@ from repro.errors import (
     KeyNotFound,
     NetworkError,
     ServerError,
-    ShardUnavailableError,
     TransactionAborted,
     TransactionClosed,
 )
@@ -65,8 +64,6 @@ def raise_for_error(response: Dict[str, Any]) -> Dict[str, Any]:
         raise TransactionClosed(message)
     if code == "BEGIN_FAILED":
         raise BeginError(message)
-    if code == "SHARD_UNAVAILABLE":
-        raise ShardUnavailableError(None, message)
     raise ServerError(code, message)
 
 
@@ -89,12 +86,7 @@ class _BaseClientTransaction:
         return response["value"]
 
     def get_many(self, keys: List[Any], default: Any = _RAISE) -> List[Any]:
-        """Batch read: one READ_MANY round trip for the whole key list.
-
-        Against a shard-partitioned server the batch fans out across the
-        shard workers in parallel, so this is the wire API that actually
-        exercises the scatter/gather read path.
-        """
+        """Batch read: one READ_MANY round trip for the whole key list."""
         response = self._client._request(
             "READ_MANY", txn=self._txn_id, keys=list(keys)
         )

@@ -27,7 +27,6 @@ from repro.core.ids import StateId
 from repro.core.state_dag import State, StateDAG
 from repro.core.transaction import OpTrace
 from repro.core.versions import VersionedRecordStore
-from repro.errors import CrossShardAbort, ShardError
 from repro.obs import metrics as _met
 from repro.obs.context import TraceContext
 from repro.storage.wal import WriteAheadLog
@@ -132,13 +131,11 @@ class CommitPipeline:
         context that arrived with a remote transaction. The caller holds
         the store lock and has already settled all constraint questions.
 
-        Against a sharded storage layer the pipeline runs the shard
+        Against a sharded storage layer the pipeline runs the staged
         commit protocol: the write set is *prepared* (planned into
-        per-shard batches, target workers validated and — for
-        multi-shard commits — staged, in ascending shard order) before
-        the DAG state exists, so a dead worker aborts the transaction
-        with a typed :class:`~repro.errors.CrossShardAbort` instead of
-        leaving a committed-looking state whose writes were lost.
+        per-shard batches in ascending shard order) before the DAG state
+        exists, installed once the state is, and abandoned if the state
+        cannot be created.
         """
         # The storage layer is duck-typed here: flat VersionedRecordStore
         # or a sharded store with the staged-commit contract.
@@ -146,14 +143,7 @@ class CommitPipeline:
         staged: Optional[Any] = None
         prepare = getattr(versions, "prepare_commit", None)
         if prepare is not None and writes:
-            try:
-                staged = prepare(writes)
-            except ShardError as exc:
-                self._observe_shard_abort()
-                shard = getattr(exc, "shard", None)
-                raise CrossShardAbort(
-                    shard, "shard prepare failed: %s" % exc
-                ) from exc
+            staged = prepare(writes)
         # create_state bumps dag.generation, which is what tells the
         # begin-state cache to revalidate against the new leaf set.
         try:
@@ -194,11 +184,6 @@ class CommitPipeline:
             if m.enabled:
                 m.inc("tardis_commit_cross_shard_total")
         return state
-
-    def _observe_shard_abort(self) -> None:
-        m = _met.DEFAULT
-        if m.enabled:
-            m.inc("tardis_commit_shard_abort_total")
 
     # -- write-ahead logging (§6.5) ----------------------------------------
 

@@ -56,12 +56,11 @@ from repro.obs import tracing as _trc
 from repro.obs.tracing import Tracer
 from repro.errors import (
     BeginError,
-    CrossShardAbort,
     GarbageCollectedError,
     TardisError,
     TransactionAborted,
 )
-from repro.storage.engine import create_record_store, is_record_store
+from repro.partitioning.sharded import ShardedRecordStore
 from repro.storage.wal import WriteAheadLog
 
 
@@ -154,12 +153,10 @@ class TardisStore:
         log_values: bool = True,
         btree_degree: int = 16,
         seed: Optional[int] = 0,
-        backend: Optional[str] = None,
         engine: Any = None,
         group_commit: int = 0,
         read_cache: bool = True,
         shards: Optional[int] = None,
-        shard_workers: Optional[int] = None,
         shard_of: Any = None,
     ) -> None:
         self.site = site
@@ -173,41 +170,26 @@ class TardisStore:
         #: ``dag.destructive_gen``. ``read_cache=False`` runs every read
         #: path cold (the A/B arm of bench_readpath).
         self.read_cache = read_cache
-        #: the storage layer: flat by default; an ``engine`` naming a
-        #: registered record store (``"sharded"``, ``"proc-sharded"``)
-        #: or an explicit ``shards``/``shard_workers`` count swaps in
-        #: the shard plane behind the same interface.
-        spec = engine if engine is not None else backend
-        if is_record_store(spec) or shards is not None or shard_workers:
-            if is_record_store(spec):
-                store_name, inner = spec, None
-            else:
-                store_name = "proc-sharded" if shard_workers else "sharded"
-                inner = spec
-            self.versions = create_record_store(
-                store_name,
-                engine=inner,
+        #: the storage layer: one flat record engine (``engine``, a
+        #: registered name or instance; B-tree by default), or
+        #: ``shards`` in-process shards each backed by that engine
+        #: (§6.4; ``shard_of`` overrides the placement ring).
+        if shards is not None:
+            self.versions = ShardedRecordStore(
+                n_shards=shards,
                 btree_degree=btree_degree,
                 seed=seed,
-                cache=read_cache,
-                shards=shards,
-                shard_workers=shard_workers,
                 shard_of=shard_of,
+                cache=read_cache,
+                engine=engine,
             )
         else:
             self.versions = VersionedRecordStore(
                 btree_degree=btree_degree,
                 seed=seed,
-                backend=backend,
                 engine=engine,
                 cache=read_cache,
             )
-        #: workers the storage layer failed to stop cleanly (set by
-        #: ``close``; always 0 for in-process storage).
-        self.leaked_workers: int = 0
-        bind_dag = getattr(self.versions, "bind_dag", None)
-        if bind_dag is not None:
-            bind_dag(self.dag)
         self.metrics = StoreMetrics()
         self._lock = threading.RLock()
         self._sessions: Dict[str, ClientSession] = {}
@@ -436,17 +418,12 @@ class TardisStore:
         return hit[1]
 
     def _read_many(self, keys: List[Any], state: State, trace: OpTrace) -> List[Any]:
-        """Batched ``_read``: one storage call for a whole key batch.
-
-        Against the process-level sharded store the batch scatters
-        across workers and their version walks run in parallel; flat
-        and in-process-sharded storage just loop.
-        """
+        """Batched ``_read``: one counter update for a whole key batch."""
         scanned = [0]
         hits = [0]
-        results = self.versions.read_visible_many(
-            keys, state, self.dag, scanned, hits
-        )
+        read = self.versions.read_visible
+        dag = self.dag
+        results = [read(key, state, dag, scanned, hits) for key in keys]
         trace.versions_scanned += scanned[0]
         trace.vis_hits += hits[0]
         return [_NOT_FOUND if hit is None else hit[1] for hit in results]
@@ -547,23 +524,13 @@ class TardisStore:
                     "no commit state satisfies end constraint %s" % constraint.name
                 )
             created_fork = bool(current.children)
-            try:
-                state = self.pipeline.commit(
-                    [current],
-                    txn.writes,
-                    read_keys=frozenset(txn.read_keys),
-                    origin=LOCAL,
-                    trace=txn.trace,
-                )
-            except CrossShardAbort:
-                # Shard prepare failed (dead/unresponsive worker); the
-                # DAG is untouched, so this is a clean typed abort.
-                self._finish(txn, ABORTED)
-                self.metrics.aborts += 1
-                t = self._tracer()
-                if t.enabled:
-                    t.event("txn.abort", reason="shard-unavailable", site=self.site)
-                raise
+            state = self.pipeline.commit(
+                [current],
+                txn.writes,
+                read_keys=frozenset(txn.read_keys),
+                origin=LOCAL,
+                trace=txn.trace,
+            )
             txn.trace.created_fork = created_fork
             # Captured inside the lock: last_ctx is per-pipeline mutable
             # state and the next commit overwrites it.
@@ -648,21 +615,13 @@ class TardisStore:
                             "merge parent %r fails end constraint %s"
                             % (parent.id, constraint.name)
                         )
-            try:
-                state = self.pipeline.commit(
-                    txn.read_states,
-                    txn.writes,
-                    read_keys=frozenset(txn.read_keys),
-                    origin=MERGE,
-                    trace=txn.trace,
-                )
-            except CrossShardAbort:
-                self._finish(txn, ABORTED)
-                self.metrics.aborts += 1
-                t = self._tracer()
-                if t.enabled:
-                    t.event("txn.abort", reason="shard-unavailable", site=self.site)
-                raise
+            state = self.pipeline.commit(
+                txn.read_states,
+                txn.writes,
+                read_keys=frozenset(txn.read_keys),
+                origin=MERGE,
+                trace=txn.trace,
+            )
             ctx = self.pipeline.last_ctx
             self.metrics.commits += 1
             self.metrics.merges += 1
@@ -796,35 +755,19 @@ class TardisStore:
             stats["writeset_entries"] = len(index)
         return stats
 
-    def shard_health(self, ping: bool = True) -> Optional[Dict[str, Any]]:
-        """Per-shard access totals and worker health; None for flat stores.
+    def shard_health(self) -> Optional[Dict[str, Any]]:
+        """Shard count and per-shard access totals; None for flat stores.
 
-        One locked call the live obs sampler polls. In-process sharded
-        stores report shard count + access balance; the proc-sharded
-        plane adds per-worker liveness, queue depth, and a timed ping
-        round trip (see ``ProcShardedRecordStore.worker_health``) plus
-        the running ``leaked_workers`` count — dead workers surface here
-        live, not only in the shutdown report.
+        One locked call the live obs sampler polls.
         """
         with self._lock:
             accesses = getattr(self.versions, "accesses", None)
             if accesses is None:
                 return None
-            health: Dict[str, Any] = {
+            return {
                 "n_shards": self.versions.n_shards,
                 "accesses": list(accesses),
             }
-            worker_health = getattr(self.versions, "worker_health", None)
-            if worker_health is not None:
-                workers: List[Dict[str, Any]] = worker_health(ping=ping)
-                health["n_workers"] = self.versions.n_workers
-                health["workers"] = workers
-                health["workers_alive"] = sum(1 for w in workers if w["alive"])
-                health["workers_dead"] = [
-                    w["worker"] for w in workers if not w["alive"]
-                ]
-                health["leaked_workers"] = self.leaked_workers
-            return health
 
     def collect_garbage(self, flush_promotions: bool = False) -> GCStats:
         """Run one full garbage-collection cycle (§6.3)."""
@@ -833,13 +776,6 @@ class TardisStore:
     def close(self) -> None:
         if self.wal is not None:
             self.wal.close()
-        # Process-level shard planes own worker processes; stop them and
-        # record how many failed to exit cleanly (the leak gate).
-        close_storage = getattr(self.versions, "close", None)
-        if close_storage is not None:
-            leaked = close_storage()
-            if leaked:
-                self.leaked_workers = int(leaked)
 
     def __repr__(self) -> str:
         return "<TardisStore site=%s states=%d records=%d>" % (

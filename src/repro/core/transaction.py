@@ -195,9 +195,7 @@ class Transaction(BaseTransaction):
         """Batched read: like ``[get(k) for k in keys]`` in one store call.
 
         Own buffered writes are consulted per key as in :meth:`get`; the
-        remaining keys go to the storage layer as one batch, which the
-        sharded stores scatter across their shards (and the process-level
-        store across its workers, in parallel). Results align with
+        remaining keys are read in one store call. Results align with
         ``keys``; ``default`` applies per missing key.
         """
         self._check_active()

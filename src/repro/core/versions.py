@@ -58,8 +58,7 @@ class VersionedRecordStore:
     ``engine`` is a :class:`~repro.storage.engine.RecordEngine` instance
     or registered engine name: ``"btree"`` (the TARDiS-BDB
     configuration, default) or ``"hash"`` (the TARDiS-MDB configuration,
-    §6.6). ``backend`` is the older string-only spelling, kept as an
-    alias.
+    §6.6).
     """
 
     # The record store has no lock of its own: every mutation runs under
@@ -77,14 +76,13 @@ class VersionedRecordStore:
         self,
         btree_degree: int = 16,
         seed: Optional[int] = None,
-        backend: Optional[str] = None,
         engine: Any = None,
         cache: bool = True,
     ) -> None:
         self._versions: Dict[Any, SkipList] = {}
-        if engine is None:
-            engine = backend if backend is not None else "btree"
-        self._records: RecordEngine = create_engine(engine, degree=btree_degree)
+        self._records: RecordEngine = create_engine(
+            "btree" if engine is None else engine, degree=btree_degree
+        )
         self._seed = seed
         self._next_list = 0
         #: per-key visibility cache (module docstring): ``(key, mask) ->
@@ -247,25 +245,6 @@ class VersionedRecordStore:
             if dag.descendant_check(version_state, read_state):
                 return state_id, self._records.get((key, state_id))
         return None
-
-    def read_visible_many(
-        self,
-        keys: List[Any],
-        read_state: State,
-        dag: StateDAG,
-        scanned: Optional[List[int]] = None,
-        hits: Optional[List[int]] = None,
-    ) -> List[Optional[Tuple[StateId, Any]]]:
-        """Batched :meth:`read_visible`; results align with ``keys``.
-
-        Flat storage walks the same lists either way — the batch entry
-        point exists so callers can hand whole read sets down and let
-        the sharded/process-level stores scatter them in parallel.
-        """
-        return [
-            self.read_visible(key, read_state, dag, scanned, hits)
-            for key in keys
-        ]
 
     def read_candidates(
         self,

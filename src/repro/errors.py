@@ -83,39 +83,6 @@ class CorruptLogError(StorageError):
     """The commit log failed an integrity check during recovery (§6.5)."""
 
 
-class ShardError(StorageError):
-    """Base class for shard-plane errors (router and shard workers)."""
-
-
-class ShardUnavailableError(ShardError):
-    """A shard's backing worker is dead or unresponsive.
-
-    Raised by reads routed to a dead shard and by commit preparation
-    when a target worker fails its liveness check or exceeds the
-    worker timeout. ``shard`` is the shard index.
-    """
-
-    def __init__(self, shard, reason=""):
-        super().__init__(
-            "shard %r unavailable%s" % (shard, ": " + reason if reason else "")
-        )
-        self.shard = shard
-        self.reason = reason
-
-
-class CrossShardAbort(TransactionAborted):
-    """Typed abort: a sharded commit failed to prepare or install.
-
-    Subclasses :class:`TransactionAborted` so retry loops written for
-    ordinary aborts handle worker failures unchanged, while the type
-    and ``shard`` attribute keep the cause observable (§6.4).
-    """
-
-    def __init__(self, shard, reason="cross-shard commit aborted"):
-        super().__init__(reason)
-        self.shard = shard
-
-
 class GarbageCollectedError(TardisError):
     """A state needed by the operation was garbage collected (§6.3-6.4)."""
 

@@ -493,7 +493,6 @@ METRIC_NAMES: Dict[str, str] = {
     "tardis_branch_merge_total": "merge commits",
     "tardis_commit_cross_shard_total": "commits whose write set spanned shards",
     "tardis_commit_ripple_steps": "states rippled past per commit",
-    "tardis_commit_shard_abort_total": "commits aborted by a failed shard prepare",
     "tardis_dag_depth": "longest root-to-leaf path (gauge)",
     "tardis_dag_retro_updates_total": "retroactive path_mask widenings",
     "tardis_dag_splice_total": "states spliced out of the DAG",
@@ -554,7 +553,7 @@ METRIC_NAMES: Dict[str, str] = {
 }
 
 #: windowed-series base names; instances carry an ``@<site>`` suffix
-#: (``@s<i>`` per shard, ``@w<i>`` per worker for the shard-plane ones).
+#: (``@s<i>`` per shard for the shard ones).
 SERIES_NAMES: Dict[str, str] = {
     "tardis_branch_count": "leaves per site over time",
     "tardis_dag_depth": "DAG depth per site over time",
@@ -567,8 +566,6 @@ SERIES_NAMES: Dict[str, str] = {
     "tardis_net_sessions": "open store sessions over time",
     "tardis_repl_lag": "states committed at src not applied at dst",
     "tardis_shard_accesses": "cumulative accesses per shard over time",
-    "tardis_shard_queue_depth": "in-flight batches per shard worker over time",
-    "tardis_shard_workers_alive": "live shard workers over time",
     "tardis_staleness_ms": "time since the site last had a single leaf",
 }
 

@@ -10,9 +10,8 @@ a *live* store — the network server's. An :class:`ObsSampler` owns
   its clock rebased to wall milliseconds since the sampler was built;
 * extra server-plane series fed from caller-supplied callables —
   sessions, in-flight requests, connections, cumulative request/commit
-  counts, per-shard access totals, and per-worker queue depth/liveness
-  from the proc-shard plane (the ``tardis_net_*`` / ``tardis_shard_*``
-  entries of ``SERIES_NAMES``);
+  counts and per-shard access totals (the ``tardis_net_*`` /
+  ``tardis_shard_*`` entries of ``SERIES_NAMES``);
 * a :class:`~repro.obs.flight.FlightRecorder` whose triggers run *live*
   on every sample: a threshold trip appends a JSON-safe alert to a
   bounded ring (and keeps the full flight dump in memory, capped), so
@@ -37,11 +36,7 @@ JSON; docs/internals.md §14 is the reference):
         "counters": {...},        # cumulative server stats + store commits
         "latency_ms": {"COMMIT": {"count", "mean", "p50", "p90",
                                   "p99", "max"}, ...},
-        "shards": None | {"n_shards", "accesses", "n_workers",
-                          "workers": [{"worker", "shards", "alive",
-                                       "queue_depth", "pid", "ping_ms"}],
-                          "workers_alive", "workers_dead",
-                          "leaked_workers"},
+        "shards": None | {"n_shards", "accesses"},
         "series": {"tardis_branch_count@net": [[t, v], ...], ...},
         "alerts": [{"t_ms", "series", "value", "threshold",
                     "hold_ms", "reason"}, ...],
@@ -232,25 +227,13 @@ class ObsSampler:
         return snapshot
 
     def _shard_section(self, now: float) -> Optional[Dict[str, Any]]:
-        """Per-shard/per-worker health, or None for a flat store."""
+        """Per-shard access totals, or None for a flat store."""
         health_fn = getattr(self.store, "shard_health", None)
         health = health_fn() if health_fn is not None else None
         if health is None:
             return None
-        for i, count in enumerate(health.get("accesses", [])):
+        for i, count in enumerate(health["accesses"]):
             self.monitor._feed("tardis_shard_accesses@s%d" % i, now, count)
-        for worker in health.get("workers", []):
-            self.monitor._feed(
-                "tardis_shard_queue_depth@w%d" % worker["worker"],
-                now,
-                worker["queue_depth"],
-            )
-        if "workers_alive" in health:
-            self.monitor._feed(
-                "tardis_shard_workers_alive@%s" % self.site,
-                now,
-                health["workers_alive"],
-            )
         return health
 
     def latest_or_sample(self) -> Dict[str, Any]:

@@ -1,28 +1,26 @@
-"""Sharded record storage and the partitioned datacenter store (§6.4).
+"""Sharded record storage for the partitioned datacenter store (§6.4).
 
 ``ShardedRecordStore`` exposes the same interface as
 :class:`~repro.core.versions.VersionedRecordStore` but routes every key
 through a :class:`~repro.partitioning.router.ShardRouter` to one of N
 shards; each shard keeps its own key-version skip lists and record
-engine, as separate storage nodes would. The process-level variant
-(:class:`~repro.partitioning.workers.ProcShardedRecordStore`) speaks
-the same interface over worker pipes.
+engine, as separate storage nodes would.
 
-Both sharded stores add the *staged commit* contract the
+The sharded store adds the *staged commit* contract the
 :class:`~repro.core.commit.CommitPipeline` drives:
 
 * ``prepare_commit(writes)`` groups the write set into per-shard
-  batches (ascending shard order, the router's ``plan`` order) and
-  validates every target shard *before* the DAG state exists;
+  batches (ascending shard order, the router's ``plan`` order) before
+  the DAG state exists;
 * ``install_commit(staged, state)`` inserts the record versions once
   the state is installed;
 * ``abandon_commit(staged)`` releases a prepared batch when the commit
   cannot proceed.
 
-``PartitionedStore`` is a drop-in :class:`~repro.core.store.TardisStore`
-whose storage layer is sharded. All consistency decisions (read-state
-selection, commit rippling, branching, merging, GC marking) happen at
-the transaction manager where the State DAG lives; only record reads,
+``TardisStore(shards=N)`` builds one of these behind an otherwise
+unchanged store. All consistency decisions (read-state selection,
+commit rippling, branching, merging, GC marking) happen at the
+transaction manager where the State DAG lives; only record reads,
 writes, and pruning fan out to shards. Per-shard access counters are
 exported as the ``tardis_shard_access_total`` metric (one ``@s<i>``
 series per shard) so the data distribution is observable.
@@ -33,21 +31,13 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.state_dag import State, StateDAG
-from repro.core.store import TardisStore
 from repro.core.versions import VersionedRecordStore
 from repro.obs import metrics as _met
-from repro.partitioning.router import (
-    ShardRouter,
-    default_shard_of,
-    legacy_shard_of,
-)
+from repro.partitioning.router import ShardRouter
 
 __all__ = [
-    "default_shard_of",
-    "legacy_shard_of",
     "StagedShardCommit",
     "ShardedRecordStore",
-    "PartitionedStore",
 ]
 
 
@@ -55,15 +45,13 @@ class StagedShardCommit:
     """A write set grouped into per-shard batches, ready to install.
 
     ``plan`` is ``[(shard_index, [(key, value), ...]), ...]`` in
-    ascending shard order; ``token`` identifies the staged buffers at
-    process-level workers (unused by the in-process store).
+    ascending shard order.
     """
 
-    __slots__ = ("plan", "token")
+    __slots__ = ("plan",)
 
-    def __init__(self, plan: List[Tuple[int, List[Tuple[Any, Any]]]], token: int = 0):
+    def __init__(self, plan: List[Tuple[int, List[Tuple[Any, Any]]]]):
         self.plan = plan
-        self.token = token
 
     @property
     def n_shards(self) -> int:
@@ -149,20 +137,6 @@ class ShardedRecordStore:
     ):
         return self._shard(key).read_visible(key, read_state, dag, scanned, hits)
 
-    def read_visible_many(
-        self, keys, read_state: State, dag: StateDAG, scanned=None, hits=None
-    ) -> List[Optional[Tuple[Any, Any]]]:
-        """Batched :meth:`read_visible`; results align with ``keys``.
-
-        The in-process store gains nothing from batching (same walks,
-        same interpreter) — the method exists so callers can hand whole
-        read sets to the storage layer and let the process-level store
-        scatter them across workers in parallel.
-        """
-        return [
-            self.read_visible(key, read_state, dag, scanned, hits) for key in keys
-        ]
-
     def read_candidates(
         self, key, read_states, dag: StateDAG, scanned=None, hits=None
     ):
@@ -186,8 +160,7 @@ class ShardedRecordStore:
         """Group ``writes`` into the deterministic per-shard plan.
 
         In-process shards cannot fail independently, so preparation is
-        pure planning; the process-level store overrides this with real
-        staging and liveness checks.
+        pure planning.
         """
         batches: Dict[int, List[Tuple[Any, Any]]] = {}
         for key, value in writes.items():
@@ -292,52 +265,3 @@ class _ShardedRecords:
 
     def __len__(self) -> int:
         return self._store.num_records()
-
-
-class PartitionedStore(TardisStore):
-    """One datacenter: a transaction manager over N record shards.
-
-    ``shard_workers`` selects the process-level plane (each worker owns
-    ``n_shards / workers`` shards in its own interpreter); without it
-    the shards live in-process. Either way the DAG, sessions, and
-    constraint logic stay here, at the transaction manager.
-    """
-
-    def __init__(
-        self,
-        site: str,
-        n_shards: int = 4,
-        shard_of=None,
-        shard_workers: Optional[int] = None,
-        **kwargs,
-    ):
-        kwargs.setdefault(
-            "engine", "proc-sharded" if shard_workers else "sharded"
-        )
-        kwargs.setdefault("btree_degree", 16)
-        kwargs.setdefault("seed", 0)
-        super().__init__(
-            site,
-            shards=n_shards,
-            shard_workers=shard_workers,
-            shard_of=shard_of,
-            **kwargs,
-        )
-
-    @property
-    def n_shards(self) -> int:
-        return self.versions.n_shards
-
-    def shard_balance(self) -> List[int]:
-        return self.versions.balance()
-
-    def shard_accesses(self) -> List[int]:
-        return list(self.versions.accesses)
-
-    def __repr__(self) -> str:
-        return "<PartitionedStore site=%s shards=%d states=%d records=%d>" % (
-            self.site,
-            self.n_shards,
-            len(self.dag),
-            self.versions.num_records(),
-        )

@@ -98,7 +98,6 @@ ERROR_CODES: Dict[str, str] = {
     "KEY_CONFLICT": "the key holds conflicting values across merged branches",
     "READ_ONLY": "a write was issued in a read-only transaction",
     "BAD_CONSTRAINT": "unknown begin/end constraint name",
-    "SHARD_UNAVAILABLE": "a shard worker died or timed out serving the request",
     "OBS_UNAVAILABLE": "the server runs no live sampler (start with --obs-interval)",
     "TIMEOUT": "the request exceeded the server's per-request timeout",
     "SERVER_BUSY": "the server is at its connection cap",

@@ -45,7 +45,7 @@ STATS command and the shutdown report.
 Live ops plane (docs/internals.md §14): with ``obs_sample_interval``
 set, an :class:`~repro.obs.sampler.ObsSampler` task samples the store's
 divergence series, the server gauges, per-op latency percentiles, and
-the shard plane's worker health on a wall-clock cadence (each sample
+the per-shard access totals on a wall-clock cadence (each sample
 runs on the store executor, serialized with request handlers), and runs
 the flight-recorder triggers live so threshold trips become alerts.
 Snapshots are served one-shot via ``OBS_SNAPSHOT`` and streamed to
@@ -84,7 +84,6 @@ from repro.errors import (
     MultipleValuesError,
     ProtocolError,
     ReadOnlyViolation,
-    ShardUnavailableError,
     TardisError,
     TransactionAborted,
     TransactionClosed,
@@ -220,7 +219,6 @@ class TardisServer:
         site: str = "net",
         engine: Optional[str] = None,
         shards: Optional[int] = None,
-        shard_workers: Optional[int] = None,
         max_connections: int = 128,
         request_timeout: float = 5.0,
         drain_timeout: float = 5.0,
@@ -234,9 +232,7 @@ class TardisServer:
         self.store = (
             store
             if store is not None
-            else TardisStore(
-                site, engine=engine, shards=shards, shard_workers=shard_workers
-            )
+            else TardisStore(site, engine=engine, shards=shards)
         )
         self.host = host
         self.port = port  # rewritten with the bound port after start()
@@ -388,15 +384,10 @@ class TardisServer:
         report["forced_closes"] = len(survivors)
         report["leaked_sessions"] = leaked
         report["open_states"] = len(self.store.dag)
-        # A server that built its own store tears it down too; with a
-        # proc-sharded storage layer that reaps the shard workers, and
-        # any that had to be force-killed count as leaks in the report.
-        leaked_workers = 0
+        # A server that built its own store tears it down too.
         if self._owns_store:
             # Executor drained above: teardown is single-threaded by now.
             self.store.close()  # tardis: ignore[async-discipline]
-            leaked_workers = self.store.leaked_workers
-        report["leaked_workers"] = leaked_workers
         self.report = report
         return report
 
@@ -753,10 +744,6 @@ class TardisServer:
             return error_response(request_id, "KEY_CONFLICT", str(exc))
         except BeginError as exc:
             return error_response(request_id, "BEGIN_FAILED", str(exc))
-        except ShardUnavailableError as exc:
-            # Before TardisError: a dead shard worker is a typed,
-            # retryable condition, not an opaque INTERNAL.
-            return error_response(request_id, "SHARD_UNAVAILABLE", str(exc))
         except TardisError as exc:
             return error_response(request_id, "INTERNAL", repr(exc))
         except Exception as exc:  # tardis: ignore[bare-except] — one bad request must not kill the connection loop
@@ -962,10 +949,6 @@ class TardisServer:
             "merges": self.store.metrics.merges,
             "records": self.store.versions.num_records(),
         }
-        workers_alive = getattr(self.store.versions, "workers_alive", None)
-        if workers_alive is not None:
-            stats["store"]["shard_workers"] = self.store.versions.n_workers
-            stats["store"]["shard_workers_alive"] = workers_alive()
         with self._lock:
             subscribers = len(self._obs_subs)
         stats["obs"] = {

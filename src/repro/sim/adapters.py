@@ -95,9 +95,6 @@ class SystemAdapter:
         """Service-time multiplier from memory pressure (Fig 13)."""
         return 1.0
 
-    def close(self) -> None:
-        """Release adapter resources (worker processes, WAL handles)."""
-
     def maintenance(self) -> float:
         """Periodic background work (merging, GC); returns its cost."""
         return 0.0
@@ -133,7 +130,6 @@ class TardisAdapter(SystemAdapter):
         engine: Any = None,
         read_cache: bool = True,
         shards: Optional[int] = None,
-        shard_workers: Optional[int] = None,
     ):
         super().__init__(costs)
         if store is None:
@@ -142,7 +138,6 @@ class TardisAdapter(SystemAdapter):
                 engine=engine,
                 read_cache=read_cache,
                 shards=shards,
-                shard_workers=shard_workers,
             )
         self.store = store
         self.begin_constraint = begin_constraint or AncestorConstraint()
@@ -263,10 +258,6 @@ class TardisAdapter(SystemAdapter):
             stats = self.store.collect_garbage()
             cost += 0.001 * (stats.states_removed + stats.records_dropped)
         return cost
-
-    def close(self) -> None:
-        """Tear down the store (reaps proc-sharded shard workers)."""
-        self.store.close()
 
     def merge_all_lww(self) -> float:
         """One merge transaction resolving every conflict newest-id-wins."""

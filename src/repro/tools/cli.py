@@ -27,8 +27,8 @@ Commands:
   graceful drain and exits nonzero if any session leaked.
   ``--obs-interval`` turns on the live ops sampler (§14).
 * ``top`` — terminal dashboard against a running server: divergence
-  gauges, sparkline series, per-op latency percentiles, per-shard and
-  per-worker health, and the live alert strip. ``--live`` streams the
+  gauges, sparkline series, per-op latency percentiles, per-shard
+  access totals, and the live alert strip. ``--live`` streams the
   server's push frames; without it, one snapshot table and exit.
 """
 
@@ -50,7 +50,7 @@ from repro.obs.flight import FlightRecorder, format_flight
 from repro.replication.cluster import Cluster
 from repro.server.server import TardisServer, run_server
 from repro.sim.adapters import OCCAdapter, TardisAdapter, TwoPLAdapter
-from repro.storage.engine import available_engines, available_record_stores
+from repro.storage.engine import available_engines
 from repro.tools.inspect import dag_to_dot, describe_store, store_summary
 from repro.tools.top import cmd_top
 from repro.workload import RunConfig, YCSBWorkload, run_simulation
@@ -357,7 +357,6 @@ def cmd_serve(args) -> int:
         site=args.site,
         engine=args.engine,
         shards=args.shards,
-        shard_workers=args.shard_workers,
         max_connections=args.max_connections,
         request_timeout=args.request_timeout,
         drain_timeout=args.drain_timeout,
@@ -367,8 +366,7 @@ def cmd_serve(args) -> int:
     if args.metrics:
         print(export.to_prometheus(_met.DEFAULT))
     print("TARDIS_SERVE_REPORT " + json.dumps(report, sort_keys=True), flush=True)
-    failed = report.get("leaked_sessions") or report.get("leaked_workers")
-    return 0 if not failed else 1
+    return 0 if not report.get("leaked_sessions") else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,18 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--site", default="net", help="store site name")
     serve.add_argument(
         "--engine",
-        choices=available_engines() + available_record_stores(),
+        choices=available_engines(),
         default="btree",
-        help="flat record engine, or a whole record store "
-        "(sharded / proc-sharded)",
+        help="flat record engine (inside every shard when --shards is set)",
     )
     serve.add_argument(
         "--shards", type=int, default=None,
-        help="partition records across N shards (implies the sharded store)",
-    )
-    serve.add_argument(
-        "--shard-workers", type=int, default=None,
-        help="run the shards in N worker processes (implies proc-sharded)",
+        help="partition records across N in-process shards",
     )
     serve.add_argument("--max-connections", type=int, default=128)
     serve.add_argument(

@@ -1,9 +1,8 @@
 """``tardis top``: a terminal dashboard for a live TARDiS server.
 
 Renders the observability snapshots of docs/internals.md §14 — divergence
-gauges, sparkline series, per-op latency percentiles, the per-shard /
-per-worker table, and the alert strip — against a running ``tardis
-serve``. Two modes:
+gauges, sparkline series, per-op latency percentiles, the per-shard
+access table, and the alert strip — against a running ``tardis serve``. Two modes:
 
 * **one-shot** (default): one ``OBS_SNAPSHOT`` request, one rendered
   table, exit. Works against any server — with the sampler off the
@@ -146,32 +145,8 @@ def render_snapshot(snapshot: Dict[str, Any], width: int = 40) -> str:
     if shards:
         lines.append("")
         lines.append("-- shards " + "-" * (width + 24))
-        accesses = shards.get("accesses", [])
-        for i, count in enumerate(accesses):
+        for i, count in enumerate(shards.get("accesses", [])):
             lines.append("  shard %-3d accesses=%d" % (i, count))
-        workers = shards.get("workers")
-        if workers:
-            lines.append(
-                "  workers: %d/%d alive  dead=%s  leaked=%s"
-                % (
-                    shards.get("workers_alive", 0),
-                    shards.get("n_workers", 0),
-                    shards.get("workers_dead", []),
-                    shards.get("leaked_workers", 0),
-                )
-            )
-            for w in workers:
-                ping = "%.1fms" % w["ping_ms"] if "ping_ms" in w else "-"
-                lines.append(
-                    "  worker %-2d shards=%s %-5s queue=%d ping=%s"
-                    % (
-                        w["worker"],
-                        w["shards"],
-                        "up" if w["alive"] else "DEAD",
-                        w["queue_depth"],
-                        ping,
-                    )
-                )
 
     alerts = snapshot.get("alerts", [])
     if alerts:

@@ -184,13 +184,6 @@ class TestEngineRegistry:
         assert store.get("x") == 41
         assert store.versions.records is engine
 
-    def test_legacy_backend_alias_still_works(self):
-        store = TardisStore("A", backend="hash")
-        store.put("x", 1)
-        assert store.get("x") == 1
-        with pytest.raises(ValueError):
-            TardisStore("B", backend="rocksdb")
-
 
 class TestCommitPipelineRecovery:
     def _store(self, tmp_path, **kw):

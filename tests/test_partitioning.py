@@ -8,17 +8,15 @@ from repro import TardisStore
 from repro.core.state_dag import StateDAG
 from repro.obs import metrics as _met
 from repro.partitioning import (
-    PartitionedStore,
     ShardedRecordStore,
     ShardRouter,
-    legacy_shard_of,
+    default_shard_of,
     stable_key_bytes,
 )
-from repro.partitioning.sharded import default_shard_of
 from repro.replication.network import SimNetwork
 from repro.replication.replicator import Replicator
 from repro.sim.des import Simulator
-from repro.errors import TransactionAborted
+from repro.errors import GarbageCollectedError, TransactionAborted
 
 
 class TestShardRouter:
@@ -93,13 +91,6 @@ class TestStableShardOf:
         assert stable_key_bytes(b"x") != stable_key_bytes("x")
         assert stable_key_bytes(("a",)) != stable_key_bytes("a")
 
-    def test_legacy_shim_preserves_old_assignments(self):
-        # The repr-based compat shim for stores sharded under the old
-        # scheme: pinned to the historical values.
-        assert legacy_shard_of("alice", 8) == 6
-        assert legacy_shard_of(42, 8) == 0
-        assert legacy_shard_of(42.0, 8) == 4  # the old inconsistency
-
     def test_distribution_of_stable_hash(self):
         counts = [0] * 8
         for i in range(4000):
@@ -115,7 +106,7 @@ class TestShardAccessMetrics:
         registry = _met.MetricsRegistry(enabled=True)
         previous = _met.set_default_registry(registry)
         try:
-            store = PartitionedStore("A", n_shards=4)
+            store = TardisStore("A", shards=4)
             with store.begin() as txn:
                 for i in range(64):
                     txn.put("key%04d" % i, i)
@@ -125,8 +116,25 @@ class TestShardAccessMetrics:
                 total += registry.counter_value(
                     "tardis_shard_access_total@s%d" % shard
                 )
-            assert total == sum(store.shard_accesses())
+            assert total == sum(store.versions.accesses)
             assert total >= 64
+        finally:
+            _met.set_default_registry(previous)
+
+    def test_cross_shard_commit_metric(self):
+        registry = _met.MetricsRegistry(enabled=True)
+        previous = _met.set_default_registry(registry)
+        try:
+            store = TardisStore("A", shards=4)
+            txn = store.begin()
+            txn.put("key000", 0)
+            txn.commit()
+            assert registry.counter_value("tardis_commit_cross_shard_total") == 0
+            txn = store.begin()
+            for i in range(16):  # certainly spans shards
+                txn.put("key%03d" % i, i)
+            txn.commit()
+            assert registry.counter_value("tardis_commit_cross_shard_total") == 1
         finally:
             _met.set_default_registry(previous)
 
@@ -194,7 +202,9 @@ class TestShardedRecordStore:
             assert store.read_visible(key, state, dag) == (state.id, i)
 
 
-class TestPartitionedStore:
+class TestShardedTardisStore:
+    """``TardisStore(shards=N)``: one transaction manager over N shards."""
+
     def test_behaves_like_tardis_store(self):
         """Property: identical schedule => identical outcomes vs unsharded."""
         rng = random.Random(7)
@@ -225,21 +235,36 @@ class TestPartitionedStore:
             return outcomes
 
         plain = run(TardisStore("A"))
-        sharded = run(PartitionedStore("A", n_shards=4))
+        sharded = run(TardisStore("A", shards=4))
         assert plain == sharded
 
     def test_records_spread_across_shards(self):
-        store = PartitionedStore("A", n_shards=4)
+        store = TardisStore("A", shards=4)
         with store.begin() as txn:
             for i in range(100):
                 txn.put("key%04d" % i, i)
-        balance = store.shard_balance()
+        balance = store.versions.balance()
         assert sum(balance) == 100
         assert all(b > 0 for b in balance)
-        assert sum(store.shard_accesses()) >= 100
+        assert sum(store.versions.accesses) >= 100
+
+    def test_get_many_parity_with_get(self):
+        store = TardisStore("A", shards=4)
+        keys = ["key%03d" % i for i in range(40)]
+        txn = store.begin()
+        for i, key in enumerate(keys):
+            txn.put(key, i)
+        txn.commit()
+        txn = store.begin(read_only=True)
+        batched = txn.get_many(keys + ["missing"], default=None)
+        singles = [txn.get(k, default=None) for k in keys + ["missing"]]
+        txn.commit()
+        assert batched == singles
+        assert batched[:-1] == list(range(40))
+        assert batched[-1] is None
 
     def test_cross_shard_transaction_atomic(self):
-        store = PartitionedStore("A", n_shards=4, shard_of=lambda k, n: hash(k) % n)
+        store = TardisStore("A", shards=4, shard_of=lambda k, n: hash(k) % n)
         with store.begin() as txn:
             txn.put("a", 1)
             txn.put("b", 2)
@@ -250,7 +275,7 @@ class TestPartitionedStore:
         assert len(store.dag) == 2
 
     def test_branching_and_merge_work_sharded(self):
-        store = PartitionedStore("A", n_shards=3)
+        store = TardisStore("A", shards=3)
         a, b = store.session("a"), store.session("b")
         store.put("x", 0, session=a)
         t1, t2 = store.begin(session=a), store.begin(session=b)
@@ -267,7 +292,7 @@ class TestPartitionedStore:
         assert store.get("x") == 6
 
     def test_gc_prunes_every_shard(self):
-        store = PartitionedStore("A", n_shards=4)
+        store = TardisStore("A", shards=4)
         sess = store.session("w")
         for i in range(30):
             txn = store.begin(session=sess)
@@ -287,8 +312,8 @@ class TestPartitionedStore:
         """Two sharded datacenters replicate asynchronously (§6.4)."""
         sim = Simulator()
         network = SimNetwork(sim, default_latency_ms=10)
-        dc1 = PartitionedStore("dc1", n_shards=2)
-        dc2 = PartitionedStore("dc2", n_shards=4)  # shard counts differ
+        dc1 = TardisStore("dc1", shards=2)
+        dc2 = TardisStore("dc2", shards=4)  # shard counts differ
         Replicator(dc1, network)
         Replicator(dc2, network)
         dc1.put("x", 1)
@@ -306,16 +331,86 @@ class TestPartitionedStore:
         from repro import recover_store
 
         wal = str(tmp_path / "wal.log")
-        store = PartitionedStore("A", n_shards=3, wal_path=wal)
+        store = TardisStore("A", shards=3, wal_path=wal)
         for i in range(10):
             store.put("k%d" % i, i)
         store.close()
         recovered, report = recover_store(
             "A",
             wal,
-            store_factory=lambda site, **kw: PartitionedStore(site, n_shards=3, **kw),
+            store_factory=lambda site, **kw: TardisStore(site, shards=3, **kw),
         )
         assert report["replayed"] == 10
-        assert recovered.n_shards == 3
+        assert recovered.versions.n_shards == 3
         for i in range(10):
             assert recovered.get("k%d" % i) == i
+
+
+class TestOracleEquivalence:
+    """Sharded storage must be observably identical to the flat store."""
+
+    @staticmethod
+    def _run_schedule(store, seed):
+        obs = []
+        sessions = [store.session("c%d" % i) for i in range(3)]
+        rng = random.Random(seed)
+        keyspace = ["k%02d" % i for i in range(24)]
+        for _step in range(140):
+            roll = rng.random()
+            sess = sessions[rng.randrange(len(sessions))]
+            try:
+                if roll < 0.45:
+                    txn = store.begin(session=sess)
+                    for _ in range(rng.randrange(1, 5)):
+                        txn.put(keyspace[rng.randrange(24)], rng.randrange(1000))
+                    obs.append(("commit", repr(txn.commit())))
+                elif roll < 0.65:
+                    txn = store.begin(session=sess, read_only=True)
+                    obs.append(
+                        (
+                            "read",
+                            tuple(
+                                txn.get(keyspace[rng.randrange(24)], default=None)
+                                for _ in range(4)
+                            ),
+                        )
+                    )
+                    txn.commit()
+                elif roll < 0.75:
+                    txn = store.begin(session=sess, read_only=True)
+                    obs.append(
+                        ("read_many", tuple(txn.get_many(keyspace, default=None)))
+                    )
+                    txn.commit()
+                elif roll < 0.85:
+                    merge = store.begin_merge(session=sess)
+                    for key in merge.find_conflict_writes():
+                        values = [v for _sid, v in merge.get_all(key)]
+                        numeric = [v for v in values if v is not None]
+                        merge.put(key, max(numeric) if numeric else None)
+                    obs.append(("merge", repr(merge.commit())))
+                elif roll < 0.92:
+                    txn = store.begin(session=sess)
+                    txn.delete(keyspace[rng.randrange(24)])
+                    obs.append(("delete", repr(txn.commit())))
+                else:
+                    stats = store.collect_garbage()
+                    obs.append(
+                        ("gc", stats.states_removed, stats.records_dropped)
+                    )
+            except TransactionAborted as exc:
+                obs.append(("abort", type(exc).__name__))
+            except GarbageCollectedError:
+                obs.append(("gcerror",))
+        txn = store.begin(read_only=True)
+        obs.append(("snapshot", tuple(txn.get_many(keyspace, default=None))))
+        txn.commit()
+        obs.append(("states", len(store.dag)))
+        return obs
+
+    def test_in_process_sharded_matches_too(self):
+        flat = TardisStore("site")
+        sharded = TardisStore("site", shards=4)
+        assert self._run_schedule(sharded, seed=9) == self._run_schedule(
+            flat, seed=9
+        )
